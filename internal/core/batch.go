@@ -349,6 +349,11 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 		outs0[j].IsNTT, outs1[j].IsNTT = true, true
 	}
 	tmps, tmpBufs := c.allocPolys(k, level+1)
+	// p^{-1} mod q_j as Harvey operands, built once per modulus.
+	pInvs := make([]xmath.MulModOperand, level+1)
+	for j := range pInvs {
+		pInvs[j] = xmath.NewMulModOperand(basis.SpecialInvModQi(L, j), moduli[j])
+	}
 	for _, pair := range [2]struct {
 		accs []*poly.Poly
 		outs []*poly.Poly
@@ -376,13 +381,13 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 		c.launch(c.ewKernelJobs("ks_moddown_scale", k, level+1,
 			profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
 			func(jb, j, lo, hi int) {
-				mj := moduli[j]
-				pInv := basis.SpecialInvModQi(L, j)
+				p := moduli[j].Value
+				pInv := pInvs[j]
 				d := tmps[jb].Coeffs[j]
 				a := accs[jb].Coeffs[j]
 				o := pouts[jb].Coeffs[j]
 				for x := lo; x < hi; x++ {
-					o[x] = mj.MulMod(xmath.SubMod(a[x], d[x], mj.Value), pInv)
+					o[x] = pInv.MulMod(xmath.SubMod(a[x], d[x], p), p)
 				}
 			}))
 	}
@@ -456,7 +461,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 		}
 		for j := 0; j < level; j++ {
 			mj := basis.Moduli[j]
-			inv := basis.InvLastModQi(level, j)
+			inv := xmath.NewMulModOperand(basis.InvLastModQi(level, j), mj)
 			c.launch(c.ewKernelJobs("rs_reduce", k, 1, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
 				func(jb, _, lo, hi int) {
 					l := lasts[jb].Coeffs[0]
@@ -480,7 +485,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 					srcJ := cts[jb].CT.Value[ci].Coeffs[j]
 					dstJ := dsts[jb].Coeffs[j]
 					for x := lo; x < hi; x++ {
-						dstJ[x] = mj.MulMod(xmath.SubMod(srcJ[x], d[x], mj.Value), inv)
+						dstJ[x] = inv.MulMod(xmath.SubMod(srcJ[x], d[x], mj.Value), mj.Value)
 					}
 				}))
 		}

@@ -291,6 +291,11 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 	out1, o1buf := c.allocPoly(level + 1)
 	out0.IsNTT, out1.IsNTT = true, true
 	tmp, tmpBuf := c.allocPoly(level + 1)
+	// p^{-1} mod q_j as Harvey operands, built once per modulus.
+	pInvs := make([]xmath.MulModOperand, level+1)
+	for j := range pInvs {
+		pInvs[j] = xmath.NewMulModOperand(basis.SpecialInvModQi(L, j), moduli[j])
+	}
 	for _, pair := range [2]struct {
 		acc *poly.Poly
 		out *poly.Poly
@@ -314,13 +319,13 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 		c.launch(c.ewKernel("ks_moddown_scale", level+1,
 			profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
 			func(j, lo, hi int) {
-				mj := moduli[j]
-				pInv := basis.SpecialInvModQi(L, j)
+				p := moduli[j].Value
+				pInv := pInvs[j]
 				d := tmp.Coeffs[j]
 				a := acc.Coeffs[j]
 				o := out.Coeffs[j]
 				for k := lo; k < hi; k++ {
-					o[k] = mj.MulMod(xmath.SubMod(a[k], d[k], mj.Value), pInv)
+					o[k] = pInv.MulMod(xmath.SubMod(a[k], d[k], p), p)
 				}
 			}))
 	}
@@ -370,7 +375,7 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 		dst.IsNTT = true
 		for j := 0; j < level; j++ {
 			mj := basis.Moduli[j]
-			inv := basis.InvLastModQi(level, j)
+			inv := xmath.NewMulModOperand(basis.InvLastModQi(level, j), mj)
 			c.launch(c.ewKernel("rs_reduce", 1, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
 				func(_, lo, hi int) {
 					l := last.Coeffs[0]
@@ -387,7 +392,7 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 				func(_, lo, hi int) {
 					d := tmp.Coeffs[0]
 					for k := lo; k < hi; k++ {
-						dstJ[k] = mj.MulMod(xmath.SubMod(srcJ[k], d[k], mj.Value), inv)
+						dstJ[k] = inv.MulMod(xmath.SubMod(srcJ[k], d[k], mj.Value), mj.Value)
 					}
 				}))
 		}

@@ -12,8 +12,9 @@ import (
 )
 
 // These tests pin the simulated results to the paper's headline
-// numbers (in shape: same winners, comparable factors). They are the
-// machine-checked version of EXPERIMENTS.md.
+// numbers (in shape: same winners, comparable factors) of the paper
+// named in PAPER.md, over the simulated device that ARCHITECTURE.md's
+// simulation layer describes.
 
 func inBand(t *testing.T, name string, got, lo, hi float64) {
 	t.Helper()
@@ -122,8 +123,8 @@ func TestFig16RoutineSpeedups(t *testing.T) {
 		final := RunRoutine(spec, steps[len(steps)-1].Cfg, r).Total()
 		// Measured 4.4x-5.4x vs the paper's 2.32x-3.05x: the ordering
 		// and step structure hold, but the simulator lacks the paper's
-		// unbatched-NTT underutilization (Section IV-C); recorded in
-		// EXPERIMENTS.md.
+		// unbatched-NTT underutilization (Section IV-C of the paper in
+		// PAPER.md).
 		inBand(t, r+" total speedup", base/final, 2.3, 5.6)
 		// Each step must improve.
 		prev := base
@@ -166,7 +167,7 @@ func TestFig19MatMulSpeedups(t *testing.T) {
 			// and the dominant mem-cache effect hold; the mad_mod and
 			// inline-asm steps are muted because the dyadic kernels are
 			// bandwidth-bound under our roofline-calibrated device (see
-			// EXPERIMENTS.md for the analysis).
+			// the simulation layer in ARCHITECTURE.md for the model).
 			inBand(t, spec.Name+" "+w.String()+" total", total, 1.4, 4.6)
 			cacheStep := times[2] / times[3]
 			if cacheStep < 1.3 {

@@ -81,6 +81,61 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 	}
 }
 
+// TestEngineRadix8MatchesReferenceAllPaths compares LocalRadix8 with
+// the serial reference element by element, in both directions, at the
+// sizes that reach every radix-8 code path: N=2048 ends on a short
+// (w=2) SLM round, N=8192 starts with a w=1 global round and N=32768
+// with a w=3 global round. Rows live in separate allocations, so the
+// batch runs through a non-contiguous BatchView.
+func TestEngineRadix8MatchesReferenceAllPaths(t *testing.T) {
+	const polys, qCount = 2, 2
+	for _, n := range []int{2048, 8192, 32768} {
+		tbls, want, view := viewFixture(t, n, polys, qCount, int64(n))
+		q := queues1(gpu.NewDevice1())
+		e := NewEngine(LocalRadix8)
+
+		compare := func(dir string) {
+			t.Helper()
+			for p := 0; p < polys; p++ {
+				for qi := 0; qi < qCount; qi++ {
+					ref := sliceOf(want, p, qi, qCount, n)
+					got := view.Row(p, qi)
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("n=%d %s row (%d,%d)[%d]: engine %d, reference %d", n, dir, p, qi, i, got[i], ref[i])
+						}
+					}
+				}
+			}
+		}
+
+		for p := 0; p < polys; p++ {
+			for qi := 0; qi < qCount; qi++ {
+				Forward(sliceOf(want, p, qi, qCount, n), tbls[qi])
+			}
+		}
+		e.ForwardView(q, view, tbls)
+		compare("forward")
+
+		// Fresh inputs for the inverse, so it is not only checked as
+		// the undo of the forward transform.
+		rng := rand.New(rand.NewSource(int64(n) + 1))
+		for p := 0; p < polys; p++ {
+			for qi := 0; qi < qCount; qi++ {
+				ref := sliceOf(want, p, qi, qCount, n)
+				row := view.Row(p, qi)
+				for i := range ref {
+					ref[i] = rng.Uint64() % tbls[qi].Modulus.Value
+					row[i] = ref[i]
+				}
+				Inverse(ref, tbls[qi])
+			}
+		}
+		e.InverseView(q, view, tbls)
+		compare("inverse")
+	}
+}
+
 func TestEngineRoundTripOddSizes(t *testing.T) {
 	// Sizes whose stage counts are not multiples of the radix width
 	// exercise the remainder-round scheduling.
@@ -212,3 +267,26 @@ func TestEngineNTTMultiplication(t *testing.T) {
 		}
 	}
 }
+
+// benchRadix8 times the functional LocalRadix8 transform of one
+// N=4096 polynomial under six moduli, the shape of a ciphertext
+// component at the top level of the demo parameters.
+func benchRadix8(b *testing.B, forward bool) {
+	const n, qCount, polys = 4096, 6, 1
+	data, tbls := testSetup(b, n, qCount, polys, 31)
+	qs := queues1(gpu.NewDevice1())
+	e := NewEngine(LocalRadix8)
+	b.SetBytes(int64(8 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if forward {
+			e.Forward(qs, data, polys, tbls)
+		} else {
+			e.Inverse(qs, data, polys, tbls)
+		}
+	}
+}
+
+func BenchmarkEngineForwardRadix8(b *testing.B) { benchRadix8(b, true) }
+
+func BenchmarkEngineInverseRadix8(b *testing.B) { benchRadix8(b, false) }

@@ -13,6 +13,10 @@ import (
 // run on register-resident data, exactly as the high-radix kernels of
 // Section III-B.5.
 func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
+	if w == 3 {
+		applyRadix8Round(view, t, m, T, blockBase)
+		return
+	}
 	r := 1 << w
 	stride := T >> (w - 1)
 	p := t.Modulus.Value
@@ -49,6 +53,10 @@ func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 // round over view, covering spans [spanBase, ...) of r*t elements of a
 // transform whose first executed stage has GS loop parameters (m, t).
 func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
+	if w == 3 {
+		applyInvRadix8Round(view, tbl, m, t, spanBase)
+		return
+	}
 	r := 1 << w
 	spanSize := r * t
 	p := tbl.Modulus.Value
@@ -76,6 +84,96 @@ func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 			for k := 0; k < r; k++ {
 				local[j+k*t] = regs[k]
 			}
+		}
+	}
+}
+
+// applyRadix8Round is applyRadixRound for w == 3, the default
+// LocalRadix8 round, written straight-line: each block loads its seven
+// twiddles once, is re-sliced into eight stride-long lanes (so the
+// inner loop carries no bounds checks), and runs the twelve
+// butterflies on eight locals in the generic loop's order.
+func applyRadix8Round(view []uint64, t *Tables, m, T, blockBase int) {
+	stride := T >> 2
+	p := t.Modulus.Value
+	twoP := 2 * p
+	nBlocks := len(view) / (2 * T)
+	for ib := 0; ib < nBlocks; ib++ {
+		h := m + blockBase + ib
+		w0 := t.Roots[h]
+		w10, w11 := t.Roots[2*h], t.Roots[2*h+1]
+		w20, w21, w22, w23 := t.Roots[4*h], t.Roots[4*h+1], t.Roots[4*h+2], t.Roots[4*h+3]
+		blk := view[ib*2*T:]
+		x0, x1 := blk[:stride], blk[stride:][:stride]
+		x2, x3 := blk[2*stride:][:stride], blk[3*stride:][:stride]
+		x4, x5 := blk[4*stride:][:stride], blk[5*stride:][:stride]
+		x6, x7 := blk[6*stride:][:stride], blk[7*stride:][:stride]
+		for j := 0; j < stride; j++ {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a4, a5, a6, a7 := x4[j], x5[j], x6[j], x7[j]
+
+			a0, a4 = xmath.HarveyButterfly(a0, a4, w0, p, twoP)
+			a1, a5 = xmath.HarveyButterfly(a1, a5, w0, p, twoP)
+			a2, a6 = xmath.HarveyButterfly(a2, a6, w0, p, twoP)
+			a3, a7 = xmath.HarveyButterfly(a3, a7, w0, p, twoP)
+
+			a0, a2 = xmath.HarveyButterfly(a0, a2, w10, p, twoP)
+			a1, a3 = xmath.HarveyButterfly(a1, a3, w10, p, twoP)
+			a4, a6 = xmath.HarveyButterfly(a4, a6, w11, p, twoP)
+			a5, a7 = xmath.HarveyButterfly(a5, a7, w11, p, twoP)
+
+			a0, a1 = xmath.HarveyButterfly(a0, a1, w20, p, twoP)
+			a2, a3 = xmath.HarveyButterfly(a2, a3, w21, p, twoP)
+			a4, a5 = xmath.HarveyButterfly(a4, a5, w22, p, twoP)
+			a6, a7 = xmath.HarveyButterfly(a6, a7, w23, p, twoP)
+
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
+			x4[j], x5[j], x6[j], x7[j] = a4, a5, a6, a7
+		}
+	}
+}
+
+// applyInvRadix8Round is applyInvRadixRound for w == 3, written
+// straight-line like applyRadix8Round. Span sp = spanBase+is starts at
+// S = 8t·sp, so the generic loop's block offsets S/(2t), S/(4t) and
+// S/(8t) are 4sp, 2sp and sp.
+func applyInvRadix8Round(view []uint64, tbl *Tables, m, t, spanBase int) {
+	spanSize := 8 * t
+	p := tbl.Modulus.Value
+	twoP := 2 * p
+	nSpans := len(view) / spanSize
+	for is := 0; is < nSpans; is++ {
+		sp := spanBase + is
+		h0, h1, h2 := m>>1+4*sp, m>>2+2*sp, m>>3+sp
+		w00, w01, w02, w03 := tbl.InvRoots[h0], tbl.InvRoots[h0+1], tbl.InvRoots[h0+2], tbl.InvRoots[h0+3]
+		w10, w11 := tbl.InvRoots[h1], tbl.InvRoots[h1+1]
+		w2 := tbl.InvRoots[h2]
+		local := view[is*spanSize:]
+		x0, x1 := local[:t], local[t:][:t]
+		x2, x3 := local[2*t:][:t], local[3*t:][:t]
+		x4, x5 := local[4*t:][:t], local[5*t:][:t]
+		x6, x7 := local[6*t:][:t], local[7*t:][:t]
+		for j := 0; j < t; j++ {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a4, a5, a6, a7 := x4[j], x5[j], x6[j], x7[j]
+
+			a0, a1 = xmath.GSButterfly(a0, a1, w00, p, twoP)
+			a2, a3 = xmath.GSButterfly(a2, a3, w01, p, twoP)
+			a4, a5 = xmath.GSButterfly(a4, a5, w02, p, twoP)
+			a6, a7 = xmath.GSButterfly(a6, a7, w03, p, twoP)
+
+			a0, a2 = xmath.GSButterfly(a0, a2, w10, p, twoP)
+			a1, a3 = xmath.GSButterfly(a1, a3, w10, p, twoP)
+			a4, a6 = xmath.GSButterfly(a4, a6, w11, p, twoP)
+			a5, a7 = xmath.GSButterfly(a5, a7, w11, p, twoP)
+
+			a0, a4 = xmath.GSButterfly(a0, a4, w2, p, twoP)
+			a1, a5 = xmath.GSButterfly(a1, a5, w2, p, twoP)
+			a2, a6 = xmath.GSButterfly(a2, a6, w2, p, twoP)
+			a3, a7 = xmath.GSButterfly(a3, a7, w2, p, twoP)
+
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
+			x4[j], x5[j], x6[j], x7[j] = a4, a5, a6, a7
 		}
 	}
 }
@@ -162,29 +260,29 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 		tbl := tbls[g.Q]
 		slice := view.Row(g.P, g.Q)
 		g0 := g.Group * groupElems
-		slm := g.SLM[:groupElems]
-		copy(slm, slice[g0:g0+groupElems])
+		// Each group owns its segment exclusively, so the rounds run
+		// in place; the SLM staging is priced by the analytic profile.
+		seg := slice[g0 : g0+groupElems]
 		s := startStage
 		if forward {
 			for _, w := range ws {
 				T := n >> (s + 1)
-				applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
+				applyRadixRound(seg, tbl, 1<<s, T, w, g0/(2*T))
 				g.Barrier()
 				s += w
 			}
-			finalizeForward(slm, tbl.Modulus.Value)
+			finalizeForward(seg, tbl.Modulus.Value)
 		} else {
 			for _, w := range ws {
 				t := n >> s
-				applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
+				applyInvRadixRound(seg, tbl, 1<<s, t, w, g0/((1<<w)*t))
 				g.Barrier()
 				s -= w
 			}
 			if s == 0 {
-				finalizeInverse(slm, tbl)
+				finalizeInverse(seg, tbl)
 			}
 		}
-		copy(slice[g0:g0+groupElems], slm)
 	}
 
 	if e.Analytic {

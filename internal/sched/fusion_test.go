@@ -366,15 +366,21 @@ func TestFusedMemcacheRecycling(t *testing.T) {
 // TestPerClassCoalescingStats pins the per-class coalescing breakdown:
 // batches and coalesced jobs are attributed to the class whose queue
 // formed them, sums reconcile with the global counters, and a class
-// that never coalesces reports zero.
+// that never coalesces reports zero. Inputs are encrypted before the
+// burst, so the backlog does not depend on how host encryption speed
+// compares with kernel speed.
 func TestPerClassCoalescingStats(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
+	const bulk = 18
 	for attempt := 0; attempt < 5; attempt++ {
+		ins := make([]*ckks.Ciphertext, bulk)
+		for i := range ins {
+			ins[i] = h.Encrypt(vals)
+		}
 		s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
-		const bulk = 18
 		for i := 0; i < bulk; i++ {
-			j := NewJob(h.Encrypt(vals))
+			j := NewJob(ins[i])
 			j.SquareRelinRescale(0) // Batch class (default)
 			if _, err := s.Submit(j); err != nil {
 				t.Fatal(err)

@@ -233,15 +233,21 @@ func TestBackpressureTinyQueues(t *testing.T) {
 // TestBatchingCoalescesSameShape verifies that under load, same-shape
 // jobs are coalesced into batches. The dispatcher batches whatever has
 // accumulated, so with a single busy worker the backlog must coalesce;
-// a couple of attempts absorb scheduling jitter.
+// a couple of attempts absorb scheduling jitter. Inputs are encrypted
+// before the burst, so the backlog does not depend on how host
+// encryption speed compares with kernel speed.
 func TestBatchingCoalescesSameShape(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
+	const jobs = 24
 	for attempt := 0; attempt < 5; attempt++ {
+		ins := make([]*ckks.Ciphertext, jobs)
+		for i := range ins {
+			ins[i] = h.Encrypt(vals)
+		}
 		s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
-		const jobs = 24
 		for i := 0; i < jobs; i++ {
-			j := NewJob(h.Encrypt(vals))
+			j := NewJob(ins[i])
 			j.SquareRelinRescale(0)
 			if _, err := s.Submit(j); err != nil {
 				t.Fatal(err)

@@ -255,6 +255,22 @@ func TestQuickAddSubRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickMulModOperandMatchesBarrett pins that a Harvey operand built
+// from a constant scalar w reduces y*w fully, to the same value as the
+// Barrett-based Modulus.MulMod, over 50- and 60-bit NTT primes.
+func TestQuickMulModOperandMatchesBarrett(t *testing.T) {
+	for _, p := range []uint64{GeneratePrimes(50, 1, 4096)[0], testPrime} {
+		m := NewModulus(p)
+		f := func(w, y uint64) bool {
+			w, y = w%p, y%p
+			return NewMulModOperand(w, m).MulMod(y, p) == m.MulMod(y, w)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
 func BenchmarkMulMod(b *testing.B) {
 	m := NewModulus(testPrime)
 	x := uint64(123456789123456)
