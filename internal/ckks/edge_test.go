@@ -1,10 +1,14 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"xehe/internal/rns"
 )
 
 // Edge cases and failure injection on the scheme level.
@@ -56,6 +60,23 @@ func TestRelinearizeDegree1Panics(t *testing.T) {
 		}
 	}()
 	c.eval.Relinearize(ct)
+}
+
+// A modulus chain longer than rns.MaxChainPrimes would let the
+// deferred key-switching sum wrap its 128-bit accumulator, so building
+// its parameters must panic (before any prime is generated) and say
+// why.
+func TestTooManyChainPrimesPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("parameters with too many chain primes did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "128-bit accumulator") {
+			t.Fatalf("panic %q does not name the 128-bit accumulator", msg)
+		}
+	}()
+	NewParameters(4096, rns.MaxChainPrimes+1, 50, 40, 52, 1<<40)
 }
 
 func TestEncryptAtLowerLevel(t *testing.T) {

@@ -275,13 +275,10 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 	}
 	c.invNTTJobs(tCoeffs, params.TablesAt(level))
 
+	// Digit 0 of ks_mad overwrites every row, so no clearing is needed.
 	acc0s, a0bufs := c.allocPolys(k, level+2) // chain + special component
 	acc1s, a1bufs := c.allocPolys(k, level+2)
 	for j := 0; j < k; j++ {
-		if !c.Cfg.Analytic {
-			clear(acc0s[j].Data())
-			clear(acc1s[j].Data())
-		}
 		acc0s[j].IsNTT, acc1s[j].IsNTT = true, true
 	}
 
@@ -315,29 +312,8 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 		}
 		c.fwdNTTJobs(digits, extTbls)
 		// Multiply-accumulate with the key digit, all moduli and jobs
-		// in one kernel. The special prime sits at L+1 in the switching
-		// key regardless of the ciphertext level.
-		bKey, aKey := swk.B[i], swk.A[i]
-		madProfile := profileOf(isa.OpMAdMod, isa.OpMAdMod)
-		if !c.Cfg.MadMod {
-			madProfile = profileOf(isa.OpMulMod, isa.OpAddMod, isa.OpMulMod, isa.OpAddMod)
-		}
-		c.launch(c.ewKernelJobs("ks_mad", k, level+2, madProfile, 0, 56, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
-				keyIdx := j
-				if j == level+1 {
-					keyIdx = L + 1
-				}
-				mj := extModuli[j]
-				d := digits[jb].Coeffs[j]
-				b := bKey.Coeffs[keyIdx]
-				a := aKey.Coeffs[keyIdx]
-				o0, o1 := acc0s[jb].Coeffs[j], acc1s[jb].Coeffs[j]
-				for x := lo; x < hi; x++ {
-					o0[x] = mj.MAdMod(d[x], b[x], o0[x])
-					o1[x] = mj.MAdMod(d[x], a[x], o1[x])
-				}
-			}))
+		// in one kernel.
+		c.ksMad(i, level, digits, acc0s, acc1s, swk, extModuli)
 	}
 	c.freePolys(dBufs)
 	c.freePolys(tBufs)

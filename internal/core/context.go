@@ -91,6 +91,13 @@ type Context struct {
 	Staging *memcache.StagingPool
 
 	deps []gpu.Event // pending pipeline tail (in-order semantics)
+
+	// ksHigh is host scratch for the high words of ks_mad's deferred
+	// 128-bit sums (see ksMad), grown on demand and reused. It is
+	// never a device buffer, and reusing it is safe: a context is
+	// driven by one goroutine, kernel bodies run synchronously inside
+	// Launch, and work-groups write disjoint rows.
+	ksHigh []uint64
 }
 
 // NewContext creates a backend context on the device.

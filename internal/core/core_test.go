@@ -77,12 +77,15 @@ func assertClose(t *testing.T, got, want []complex128, tol float64, what string)
 
 // TestGPUMatchesHostAllConfigs checks that every optimization
 // configuration produces bit-compatible results with the host
-// evaluator on the full MulLinRS pipeline.
+// evaluator on the full MulLinRS pipeline: the downloaded ciphertext
+// equals the host one bit for bit, and it decodes to the plaintext
+// product.
 func TestGPUMatchesHostAllConfigs(t *testing.T) {
 	h := newHarness(t)
 	cta, va := h.randCT(100)
 	ctb, vb := h.randCT(101)
-	want := h.decode(h.host.Rescale(h.host.Relinearize(h.host.Mul(cta, ctb))))
+	wantCT := h.host.Rescale(h.host.Relinearize(h.host.Mul(cta, ctb)))
+	want := h.decode(wantCT)
 
 	configs := map[string]Config{
 		"naive":            Naive(),
@@ -98,8 +101,9 @@ func TestGPUMatchesHostAllConfigs(t *testing.T) {
 			c := newCtx(t, h, cfg)
 			da := c.Upload(cta)
 			db := c.Upload(ctb)
-			res := c.MulLinRS(da, db, h.rlk)
-			got := h.decode(c.Download(res))
+			res := c.Download(c.MulLinRS(da, db, h.rlk))
+			assertSameCiphertext(t, res, wantCT, "MulLinRS")
+			got := h.decode(res)
 			assertClose(t, got, want, 1e-4, "MulLinRS")
 			// The GPU result must also match the plaintext product.
 			for i := range va {

@@ -203,6 +203,81 @@ func (c *Context) Square(a *Ciphertext) *Ciphertext {
 	return wrap(out, []*sycl.Buffer{b0, b1, b2})
 }
 
+// ksMad launches the multiply-accumulate of key-switching digit i for
+// every job over the extended basis {q_0..q_level, p}: accs0[jb] +=
+// digits[jb]·swk.B[i] and accs1[jb] += digits[jb]·swk.A[i]. The special
+// prime sits at L+1 in the switching key regardless of the ciphertext
+// level. The serial and fused paths share this one kernel.
+//
+// The functional body defers the modular reduction across digits, as
+// SEAL's switch_key_inplace does: the sum of d·key over all digits stays
+// unreduced in 128 bits (low words in the accumulator rows, high words
+// in the context's host scratch) and the last digit reduces it once
+// with BarrettReduce128. Digit 0 overwrites the rows, so the
+// accumulators need no clearing. rns.MaxChainPrimes keeps the sum below
+// 2^128. The analytic profile still prices one mad_mod per digit.
+func (c *Context) ksMad(i, level int, digits, accs0, accs1 []*poly.Poly, swk *ckks.SwitchKey, extModuli []xmath.Modulus) {
+	k, n, comps := len(digits), c.Params.N, level+2
+	L := c.Params.MaxLevel()
+	var highs []uint64
+	if words := 2 * k * comps * n; !c.Cfg.Analytic {
+		if cap(c.ksHigh) < words {
+			c.ksHigh = make([]uint64, words)
+		}
+		highs = c.ksHigh[:words]
+	}
+	bKey, aKey := swk.B[i], swk.A[i]
+	madProfile := profileOf(isa.OpMAdMod, isa.OpMAdMod)
+	if !c.Cfg.MadMod {
+		madProfile = profileOf(isa.OpMulMod, isa.OpAddMod, isa.OpMulMod, isa.OpAddMod)
+	}
+	c.launch(c.ewKernelJobs("ks_mad", k, comps, madProfile, 0, 56, gpu.PatternUnitStride,
+		func(jb, j, lo, hi int) {
+			keyIdx := j
+			if j == level+1 {
+				keyIdx = L + 1
+			}
+			// High-word rows: accumulator 0 of job jb, component j at
+			// (jb*comps+j)*n; accumulator 1 follows all of them.
+			h0 := highs[(jb*comps+j)*n:]
+			h1 := highs[((k+jb)*comps+j)*n:]
+			ksMadRow(extModuli[j], i, level,
+				digits[jb].Coeffs[j][lo:hi], bKey.Coeffs[keyIdx][lo:], aKey.Coeffs[keyIdx][lo:],
+				accs0[jb].Coeffs[j][lo:], accs1[jb].Coeffs[j][lo:], h0[lo:], h1[lo:])
+		}))
+}
+
+// ksMadRow is the ks_mad row body for digit i of last+1 over one row
+// range: (h0:o0) += d·b and (h1:o1) += d·a as unreduced 128-bit sums,
+// reduced modulo m into o0 and o1 at the last digit. A one-digit switch
+// reduces its single product directly.
+func ksMadRow(m xmath.Modulus, i, last int, d, b, a, o0, o1, h0, h1 []uint64) {
+	b, a = b[:len(d)], a[:len(d)]
+	o0, o1, h0, h1 = o0[:len(d)], o1[:len(d)], h0[:len(d)], h1[:len(d)]
+	switch {
+	case last == 0:
+		for x, dx := range d {
+			o0[x] = m.MulMod(dx, b[x])
+			o1[x] = m.MulMod(dx, a[x])
+		}
+	case i == 0:
+		for x, dx := range d {
+			h0[x], o0[x] = xmath.Mul64(dx, b[x])
+			h1[x], o1[x] = xmath.Mul64(dx, a[x])
+		}
+	case i < last:
+		for x, dx := range d {
+			h0[x], o0[x] = xmath.MulAdd128(dx, b[x], h0[x], o0[x])
+			h1[x], o1[x] = xmath.MulAdd128(dx, a[x], h1[x], o1[x])
+		}
+	default:
+		for x, dx := range d {
+			o0[x] = m.BarrettReduce128(xmath.MulAdd128(dx, b[x], h0[x], o0[x]))
+			o1[x] = m.BarrettReduce128(xmath.MulAdd128(dx, a[x], h1[x], o1[x]))
+		}
+	}
+}
+
 // switchKey is the device key-switching procedure (see the host
 // reference in internal/ckks for the algorithm). It is the
 // NTT-dominated kernel behind Relinearize and Rotate (Fig. 5).
@@ -223,12 +298,9 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 	tCoeff.IsNTT = true
 	c.invNTT(tCoeff, params.TablesAt(level))
 
+	// Digit 0 of ks_mad overwrites every row, so no clearing is needed.
 	acc0, a0buf := c.allocPoly(level + 2) // chain + special component
 	acc1, a1buf := c.allocPoly(level + 2)
-	if !c.Cfg.Analytic {
-		clear(acc0.Data())
-		clear(acc1.Data())
-	}
 	acc0.IsNTT, acc1.IsNTT = true, true
 
 	// One extended digit buffer over the full basis {q_0..q_l, p};
@@ -238,6 +310,7 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 	digit, dBuf := c.allocPoly(level + 2)
 	extTbls := append(append([]*ntt.Tables{}, params.TablesAt(level)...), spTbl)
 	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
+	digits, accs0, accs1 := []*poly.Poly{digit}, []*poly.Poly{acc0}, []*poly.Poly{acc1}
 
 	for i := 0; i <= level; i++ {
 		di := tCoeff.Coeffs[i]
@@ -259,29 +332,8 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 		digit.IsNTT = false
 		c.fwdNTT(digit, extTbls)
 		// Multiply-accumulate with the key digit, all moduli in one
-		// kernel. The special prime sits at L+1 in the switching key
-		// regardless of the ciphertext level.
-		bKey, aKey := swk.B[i], swk.A[i]
-		madProfile := profileOf(isa.OpMAdMod, isa.OpMAdMod)
-		if !c.Cfg.MadMod {
-			madProfile = profileOf(isa.OpMulMod, isa.OpAddMod, isa.OpMulMod, isa.OpAddMod)
-		}
-		c.launch(c.ewKernel("ks_mad", level+2, madProfile, 0, 56, gpu.PatternUnitStride,
-			func(j, lo, hi int) {
-				keyIdx := j
-				if j == level+1 {
-					keyIdx = L + 1
-				}
-				mj := extModuli[j]
-				d := digit.Coeffs[j]
-				b := bKey.Coeffs[keyIdx]
-				a := aKey.Coeffs[keyIdx]
-				o0, o1 := acc0.Coeffs[j], acc1.Coeffs[j]
-				for k := lo; k < hi; k++ {
-					o0[k] = mj.MAdMod(d[k], b[k], o0[k])
-					o1[k] = mj.MAdMod(d[k], a[k], o1[k])
-				}
-			}))
+		// kernel.
+		c.ksMad(i, level, digits, accs0, accs1, swk, extModuli)
 	}
 	c.freePoly(dBuf)
 	c.freePoly(tBuf)

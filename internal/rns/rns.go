@@ -6,6 +6,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 
 	"xehe/internal/xmath"
@@ -44,6 +45,7 @@ func NewBasis(primes []uint64, special uint64) *Basis {
 	if len(primes) == 0 {
 		panic("rns: empty modulus chain")
 	}
+	checkChainLength(len(primes))
 	seen := map[uint64]bool{special: true}
 	b := &Basis{Special: xmath.NewModulus(special)}
 	for _, p := range primes {
@@ -155,6 +157,20 @@ func (b *Basis) Decompose(x *big.Int, level int) []uint64 {
 	return res
 }
 
+// MaxChainPrimes bounds the modulus chain so that key switching can
+// keep its per-digit products unreduced: each digit contributes one
+// product below 2^(2*MaxModulusBits) to a 128-bit accumulator, and at
+// most 2^(128-2*MaxModulusBits) = 256 of them fit without wrapping.
+const MaxChainPrimes = 1 << (128 - 2*xmath.MaxModulusBits)
+
+// checkChainLength panics if a chain of n primes would overflow the
+// key-switching accumulator (see MaxChainPrimes).
+func checkChainLength(n int) {
+	if n > MaxChainPrimes {
+		panic(fmt.Sprintf("rns: %d chain primes exceed MaxChainPrimes = %d, the most key-switching digits the 128-bit accumulator holds", n, MaxChainPrimes))
+	}
+}
+
 // NewCKKSBasis generates a standard CKKS modulus chain for degree n:
 // a first (largest) prime of firstBits, `level` middle primes of
 // midBits (≈ the scale), and a special prime of specialBits. This
@@ -163,6 +179,7 @@ func NewCKKSBasis(n, levels, firstBits, midBits, specialBits int) *Basis {
 	if levels < 1 {
 		panic("rns: need at least one level")
 	}
+	checkChainLength(levels)
 	var primes []uint64
 	need := map[int]int{}
 	need[firstBits]++

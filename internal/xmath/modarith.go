@@ -142,6 +142,17 @@ func (m Modulus) MAdMod(a, b, c uint64) uint64 {
 	return m.BarrettReduce128(hi, lo)
 }
 
+// MulAdd128 returns the 128-bit sum (hi, lo) + a*b, unreduced. It is
+// the deferred form of MAdMod: a caller accumulates a run of products
+// and reduces the sum once with BarrettReduce128. With a, b < 2^60 each
+// product is below 2^120, so up to 2^(128-2*MaxModulusBits) = 256 of
+// them fit before the sum could wrap.
+func MulAdd128(a, b, hi, lo uint64) (uint64, uint64) {
+	ph, pl := bits.Mul64(a, b)
+	lo, carry := bits.Add64(lo, pl, 0)
+	return hi + ph + carry, lo
+}
+
 // PowMod returns a^e mod p by square-and-multiply.
 func (m Modulus) PowMod(a, e uint64) uint64 {
 	a = m.BarrettReduce(a)

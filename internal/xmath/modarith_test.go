@@ -271,6 +271,48 @@ func TestQuickMulModOperandMatchesBarrett(t *testing.T) {
 	}
 }
 
+// TestMulAdd128DeferredSum pins the deferred key-switching sum: 256
+// products of operands below 2^60 (the most 2*MaxModulusBits-bit
+// products that fit in 128 bits) accumulated with MulAdd128 equal the
+// math/big sum, and one BarrettReduce128 of that sum equals the
+// per-term MAdMod chain, over 50-, 52- and 60-bit primes.
+func TestMulAdd128DeferredSum(t *testing.T) {
+	const terms = 1 << (128 - 2*MaxModulusBits)
+	const maxOperand = 1<<MaxModulusBits - 1
+	primes := []uint64{GeneratePrimes(50, 1, 4096)[0], GeneratePrimes(52, 1, 4096)[0], testPrime}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		as, bs := make([]uint64, terms), make([]uint64, terms)
+		for i := range as {
+			as[i], bs[i] = rng.Uint64()>>(64-MaxModulusBits), rng.Uint64()>>(64-MaxModulusBits)
+			if trial == 0 {
+				as[i], bs[i] = maxOperand, maxOperand
+			}
+		}
+		var hi, lo uint64
+		want := new(big.Int)
+		for i := range as {
+			hi, lo = MulAdd128(as[i], bs[i], hi, lo)
+			want.Add(want, new(big.Int).Mul(new(big.Int).SetUint64(as[i]), new(big.Int).SetUint64(bs[i])))
+		}
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+		got.Add(got, new(big.Int).SetUint64(lo))
+		if got.Cmp(want) != 0 {
+			t.Fatalf("trial %d: MulAdd128 sum = %v, want %v", trial, got, want)
+		}
+		for _, p := range primes {
+			m := NewModulus(p)
+			var chained uint64
+			for i := range as {
+				chained = m.MAdMod(as[i], bs[i], chained)
+			}
+			if r := m.BarrettReduce128(hi, lo); r != chained {
+				t.Fatalf("trial %d, p=%d: BarrettReduce128(sum) = %d, MAdMod chain = %d", trial, p, r, chained)
+			}
+		}
+	}
+}
+
 func BenchmarkMulMod(b *testing.B) {
 	m := NewModulus(testPrime)
 	x := uint64(123456789123456)
