@@ -42,12 +42,13 @@ bench:
 # -json contract) fails the pipeline without paying for the full
 # benchmark matrix. Also writes a Perfetto-loadable sample trace from
 # the same mixed-QoS cluster shape (CI uploads it as an artifact), and
-# runs the functional radix-8 NTT and fused key-switch micro-benchmarks
-# once each so the specialized round bodies and the deferred-reduction
-# ks_mad body compile and run (timings are not a gate).
+# runs the functional radix-8 NTT, fused key-switch and fused rotation
+# micro-benchmarks once each so the specialized round bodies, the
+# deferred-reduction ks_mad body and the NTT-form automorphism compile
+# and run (timings are not a gate).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineForwardRadix8|EngineInverseRadix8' -benchtime 1x ./internal/ntt
-	$(GO) test -run '^$$' -bench SwitchKeyBatch -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'SwitchKeyBatch|RotateBatch' -benchtime 1x ./internal/core
 	$(GO) test -bench 'Benchmark(Service|Cluster)Throughput' -benchtime 50x -run '^$$' .
 	$(GO) run ./cmd/xehe-bench -cluster 50 -json -trace trace-sample.json
 

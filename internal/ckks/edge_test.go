@@ -153,6 +153,23 @@ func TestRotationComposition(t *testing.T) {
 	}
 }
 
+// GaloisElement's square-and-multiply equals k repeated
+// multiplications by 5 mod 2N for every rotation in [-N/2, N/2].
+func TestGaloisElementMatchesRepeatedMultiplication(t *testing.T) {
+	const n = 4096
+	params := &Parameters{N: n}
+	order := n / 2
+	for k := -n / 2; k <= n/2; k++ {
+		want := uint64(1)
+		for i := 0; i < ((k%order)+order)%order; i++ {
+			want = want * 5 % (2 * n)
+		}
+		if got := params.GaloisElement(k); got != want {
+			t.Fatalf("GaloisElement(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
 // Noise growth sanity: the error after a depth-3 squaring chain stays
 // within the precision budget of the scale.
 func TestNoiseGrowthBudget(t *testing.T) {

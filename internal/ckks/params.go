@@ -69,14 +69,17 @@ func (p *Parameters) ModuliAt(level int) []xmath.Modulus { return p.Basis.Moduli
 
 // GaloisElement returns the Galois group element implementing a cyclic
 // rotation of the message slots by k (5^k mod 2N; negative k rotates
-// the other way).
+// the other way), by square-and-multiply in O(log N) steps.
 func (p *Parameters) GaloisElement(k int) uint64 {
 	twoN := uint64(2 * p.N)
 	order := p.N / 2 // order of 5 in Z_2N^* / {±1}
-	kk := ((k % order) + order) % order
-	g := uint64(1)
-	for i := 0; i < kk; i++ {
-		g = (g * 5) % twoN
+	e := ((k % order) + order) % order
+	g, base := uint64(1), uint64(5)
+	for ; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			g = g * base % twoN
+		}
+		base = base * base % twoN
 	}
 	return g
 }

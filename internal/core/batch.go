@@ -291,28 +291,8 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
 
 	for i := 0; i <= level; i++ {
-		// Extend digit i to every modulus (Barrett reduction kernel).
-		c.launch(c.ewKernelJobs("ks_digit_extend", k, level+2,
-			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
-				di := tCoeffs[jb].Coeffs[i]
-				d := digits[jb].Coeffs[j]
-				if j == i {
-					copy(d[lo:hi], di[lo:hi])
-					return
-				}
-				mj := extModuli[j]
-				for x := lo; x < hi; x++ {
-					d[x] = mj.BarrettReduce(di[x])
-				}
-			}))
-		// Batched NTT across all moduli and jobs (GPU engine).
-		for _, d := range digits {
-			d.IsNTT = false
-		}
-		c.fwdNTTJobs(digits, extTbls)
-		// Multiply-accumulate with the key digit, all moduli and jobs
-		// in one kernel.
+		c.extendDigit(i, level, targets, tCoeffs, digits, extModuli)
+		c.fwdNTTDigit(i, digits, extTbls)
 		c.ksMad(i, level, digits, acc0s, acc1s, swk, extModuli)
 	}
 	c.freePolys(dBufs)
@@ -509,52 +489,24 @@ func (c *Context) RotateBatch(cts []*Ciphertext, rot int, gk *ckks.GaloisKey) []
 	params := c.Params
 	level := cts[0].CT.Level
 	comps := level + 1
-	moduli := params.ModuliAt(level)
 	tbls := params.TablesAt(level)
 	galois := params.GaloisElement(rot)
-	n := params.N
 
-	// Automorphism in coefficient form.
-	c0s, c0bufs := c.allocPolys(k, comps)
-	c1s, c1bufs := c.allocPolys(k, comps)
-	for j := 0; j < k; j++ {
-		if !c.Cfg.Analytic {
-			copy(c0s[j].Data(), cts[j].CT.Value[0].Data()[:comps*n])
-			copy(c1s[j].Data(), cts[j].CT.Value[1].Data()[:comps*n])
-		}
-		c0s[j].IsNTT, c1s[j].IsNTT = true, true
-	}
-	c.invNTTJobs(c0s, tbls)
-	c.invNTTJobs(c1s, tbls)
+	// Automorphism in NTT form, priced as the coefficient-form route
+	// (see Rotate).
+	_, c0bufs := c.allocPolys(k, comps)
+	_, c1bufs := c.allocPolys(k, comps)
+	c.pricedNTT(k, tbls, false)
+	c.pricedNTT(k, tbls, false)
 
 	r0s, r0bufs := c.allocPolys(k, comps)
 	r1s, r1bufs := c.allocPolys(k, comps)
-	for _, pair := range [2]struct{ srcs, dsts []*poly.Poly }{{c0s, r0s}, {c1s, r1s}} {
-		srcs, dsts := pair.srcs, pair.dsts
-		c.launch(c.ewKernelJobs("galois_automorphism", k, comps,
-			profileOf(isa.OpAdd64, isa.OpAdd64), 4, 16, gpu.PatternGather,
-			func(jb, q, lo, hi int) {
-				p := moduli[q].Value
-				twoN := uint64(2 * n)
-				s, d := srcs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-				for x := lo; x < hi; x++ {
-					idx := (uint64(x) * galois) % twoN
-					v := s[x]
-					if idx >= uint64(n) {
-						idx -= uint64(n)
-						v = xmath.NegMod(v, p)
-					}
-					d[idx] = v
-				}
-			}))
-		for _, d := range dsts {
-			d.IsNTT = false
-		}
-	}
+	c.automorphJobs(component(cts, 0), r0s, comps, galois)
+	c.automorphJobs(component(cts, 1), r1s, comps, galois)
 	c.freePolys(c0bufs)
 	c.freePolys(c1bufs)
-	c.fwdNTTJobs(r0s, tbls)
-	c.fwdNTTJobs(r1s, tbls)
+	c.pricedNTT(k, tbls, true)
+	c.pricedNTT(k, tbls, true)
 
 	k0s, k1s, k0bufs, k1bufs := c.switchKeyJobs(r1s, &gk.SwitchKey, level)
 	c.addIntoJobs(k0s, k0s, r0s, comps)

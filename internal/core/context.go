@@ -98,6 +98,11 @@ type Context struct {
 	// driven by one goroutine, kernel bodies run synchronously inside
 	// Launch, and work-groups write disjoint rows.
 	ksHigh []uint64
+	// galoisPerms caches ntt.GaloisPermutation per Galois element for
+	// the NTT-form automorphism of Rotate/RotateBatch (see
+	// automorphJobs), so each table is built once per context. Like
+	// ksHigh it is host memory touched only by the context's goroutine.
+	galoisPerms map[uint64][]uint32
 }
 
 // NewContext creates a backend context on the device.
@@ -131,6 +136,8 @@ func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues [
 		Cache:  cache,
 		Engine: &ntt.Engine{V: cfg.NTT, Analytic: cfg.Analytic},
 		Cfg:    cfg,
+
+		galoisPerms: map[uint64][]uint32{},
 	}
 	if cfg.CopyEngine {
 		c.CopyQ = sycl.NewCopyQueueOnTile(dev, queues[0].Raw().Tile())

@@ -16,7 +16,8 @@ type harness struct {
 	enc    *ckks.Encoder
 	sk     *ckks.SecretKey
 	rlk    *ckks.RelinKey
-	gk     *ckks.GaloisKey
+	gk     *ckks.GaloisKey // rotation by 1
+	gkNeg  *ckks.GaloisKey // rotation by -1
 	encr   *ckks.Encryptor
 	decr   *ckks.Decryptor
 	host   *ckks.Evaluator
@@ -35,15 +36,17 @@ func newHarness(t testing.TB) *harness {
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinKey(sk)
 	gk := kg.GenGaloisKey(sk, params.GaloisElement(1))
+	gkNeg := kg.GenGaloisKey(sk, params.GaloisElement(-1))
 	sharedHarness = &harness{
 		params: params,
 		enc:    ckks.NewEncoder(params),
 		sk:     sk,
 		rlk:    rlk,
 		gk:     gk,
+		gkNeg:  gkNeg,
 		encr:   ckks.NewEncryptor(params, pk, 8),
 		decr:   ckks.NewDecryptor(params, sk),
-		host:   ckks.NewEvaluator(params, rlk, gk),
+		host:   ckks.NewEvaluator(params, rlk, gk, gkNeg),
 	}
 	return sharedHarness
 }

@@ -203,6 +203,87 @@ func (c *Context) Square(a *Ciphertext) *Ciphertext {
 	return wrap(out, []*sycl.Buffer{b0, b1, b2})
 }
 
+// extendDigit launches ks_digit_extend for digit i of every job: row j
+// of digits[jb] is coefficient row i of tCoeffs[jb] reduced modulo q_j,
+// except row i itself, which takes the target's NTT-form row i. The
+// forward NTT of the digit's own row would reproduce that row exactly
+// (both are canonical in [0, q_i)), so fwdNTTDigit skips it, as SEAL's
+// switch_key_inplace does. The serial and fused paths share this one
+// kernel.
+func (c *Context) extendDigit(i, level int, targets, tCoeffs, digits []*poly.Poly, extModuli []xmath.Modulus) {
+	c.launch(c.ewKernelJobs("ks_digit_extend", len(digits), level+2,
+		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
+		func(jb, j, lo, hi int) {
+			d := digits[jb].Coeffs[j]
+			if j == i {
+				copy(d[lo:hi], targets[jb].Coeffs[i][lo:hi])
+				return
+			}
+			di := tCoeffs[jb].Coeffs[i]
+			mj := extModuli[j]
+			for x := lo; x < hi; x++ {
+				d[x] = mj.BarrettReduce(di[x])
+			}
+		}))
+}
+
+// fwdNTTDigit runs the batched forward NTT of every job's extended
+// digit i over all moduli, skipping row i, which extendDigit already
+// filled with its transform.
+func (c *Context) fwdNTTDigit(i int, digits []*poly.Poly, extTbls []*ntt.Tables) {
+	view := c.polyView(digits, len(extTbls))
+	for jb := range digits {
+		view.SkipRow(jb, i)
+	}
+	c.after(c.Engine.ForwardView(c.Queues, view, extTbls, c.deps...))
+	for _, d := range digits {
+		d.IsNTT = true
+	}
+}
+
+// pricedNTT launches the kernels of a polys × len(tbls) transform with
+// every row skipped: it advances simulated time exactly as the
+// transform would while computing nothing. NTT-domain rotation uses it
+// for the coefficient-form transforms the calibrated Rotate timings
+// still price.
+func (c *Context) pricedNTT(polys int, tbls []*ntt.Tables, forward bool) {
+	view := ntt.NewBatchView(polys, len(tbls), c.Params.N)
+	for p := 0; p < polys; p++ {
+		for q := range tbls {
+			view.SkipRow(p, q)
+		}
+	}
+	if forward {
+		c.after(c.Engine.ForwardView(c.Queues, view, tbls, c.deps...))
+		return
+	}
+	c.after(c.Engine.InverseView(c.Queues, view, tbls, c.deps...))
+}
+
+// automorphJobs launches galois_automorphism for every job: dsts[jb] is
+// srcs[jb] under x -> x^galois, both in NTT form, so each row is a
+// permutation (ntt.GaloisPermutation, built once per Galois element per
+// context) with no arithmetic. The serial and fused Rotate share this
+// one kernel; its profile still prices the coefficient-form gather.
+func (c *Context) automorphJobs(srcs, dsts []*poly.Poly, comps int, galois uint64) {
+	var perm []uint32
+	if !c.Cfg.Analytic {
+		perm = c.galoisPerms[galois]
+		if perm == nil {
+			perm = ntt.GaloisPermutation(c.Params.N, galois)
+			c.galoisPerms[galois] = perm
+		}
+	}
+	c.launch(c.ewKernelJobs("galois_automorphism", len(dsts), comps,
+		profileOf(isa.OpAdd64, isa.OpAdd64), 4, 16, gpu.PatternGather,
+		func(jb, q, lo, hi int) {
+			ntt.PermuteRow(dsts[jb].Coeffs[q][lo:hi], srcs[jb].Coeffs[q], perm[lo:])
+		}))
+	for _, d := range dsts {
+		d.IsNTT = true
+	}
+}
+
 // ksMad launches the multiply-accumulate of key-switching digit i for
 // every job over the extended basis {q_0..q_level, p}: accs0[jb] +=
 // digits[jb]·swk.B[i] and accs1[jb] += digits[jb]·swk.A[i]. The special
@@ -310,29 +391,13 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 	digit, dBuf := c.allocPoly(level + 2)
 	extTbls := append(append([]*ntt.Tables{}, params.TablesAt(level)...), spTbl)
 	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
+
+	targets, tCoeffs := []*poly.Poly{target}, []*poly.Poly{tCoeff}
 	digits, accs0, accs1 := []*poly.Poly{digit}, []*poly.Poly{acc0}, []*poly.Poly{acc1}
 
 	for i := 0; i <= level; i++ {
-		di := tCoeff.Coeffs[i]
-		// Extend digit i to every modulus (Barrett reduction kernel).
-		c.launch(c.ewKernel("ks_digit_extend", level+2,
-			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(j, lo, hi int) {
-				d := digit.Coeffs[j]
-				if j == i {
-					copy(d[lo:hi], di[lo:hi])
-					return
-				}
-				mj := extModuli[j]
-				for k := lo; k < hi; k++ {
-					d[k] = mj.BarrettReduce(di[k])
-				}
-			}))
-		// Batched NTT across all moduli (GPU engine).
-		digit.IsNTT = false
-		c.fwdNTT(digit, extTbls)
-		// Multiply-accumulate with the key digit, all moduli in one
-		// kernel.
+		c.extendDigit(i, level, targets, tCoeffs, digits, extModuli)
+		c.fwdNTTDigit(i, digits, extTbls)
 		c.ksMad(i, level, digits, accs0, accs1, swk, extModuli)
 	}
 	c.freePoly(dBuf)
@@ -484,48 +549,27 @@ func (c *Context) Rotate(ct *Ciphertext, k int, gk *ckks.GaloisKey) *Ciphertext 
 	params := c.Params
 	level := ct.CT.Level
 	comps := level + 1
-	moduli := params.ModuliAt(level)
 	tbls := params.TablesAt(level)
 	galois := params.GaloisElement(k)
-	n := params.N
 
-	// Automorphism in coefficient form.
-	c0, c0b := c.allocPoly(comps)
-	c1, c1b := c.allocPoly(comps)
-	if !c.Cfg.Analytic {
-		copy(c0.Data(), ct.CT.Value[0].Data()[:comps*n])
-		copy(c1.Data(), ct.CT.Value[1].Data()[:comps*n])
-	}
-	c0.IsNTT, c1.IsNTT = true, true
-	c.invNTT(c0, tbls)
-	c.invNTT(c1, tbls)
+	// Automorphism in NTT form: a row permutation of the input. The
+	// coefficient-form route's iNTT of the inputs and fNTT of the
+	// outputs keep their launches (every row skipped) and c0/c1 their
+	// buffers, so simulated time and memory-cache traffic are those of
+	// the calibrated coefficient-form Rotate.
+	_, c0b := c.allocPoly(comps)
+	_, c1b := c.allocPoly(comps)
+	c.pricedNTT(1, tbls, false)
+	c.pricedNTT(1, tbls, false)
 
 	r0, r0b := c.allocPoly(comps)
 	r1, r1b := c.allocPoly(comps)
-	for _, pair := range [2]struct{ src, dst *poly.Poly }{{c0, r0}, {c1, r1}} {
-		src, dst := pair.src, pair.dst
-		c.launch(c.ewKernel("galois_automorphism", comps,
-			profileOf(isa.OpAdd64, isa.OpAdd64), 4, 16, gpu.PatternGather,
-			func(q, lo, hi int) {
-				p := moduli[q].Value
-				twoN := uint64(2 * n)
-				s, d := src.Coeffs[q], dst.Coeffs[q]
-				for j := lo; j < hi; j++ {
-					idx := (uint64(j) * galois) % twoN
-					v := s[j]
-					if idx >= uint64(n) {
-						idx -= uint64(n)
-						v = xmath.NegMod(v, p)
-					}
-					d[idx] = v
-				}
-			}))
-		dst.IsNTT = false
-	}
+	c.automorphJobs(ct.CT.Value[:1], []*poly.Poly{r0}, comps, galois)
+	c.automorphJobs(ct.CT.Value[1:2], []*poly.Poly{r1}, comps, galois)
 	c.freePoly(c0b)
 	c.freePoly(c1b)
-	c.fwdNTT(r0, tbls)
-	c.fwdNTT(r1, tbls)
+	c.pricedNTT(1, tbls, true)
+	c.pricedNTT(1, tbls, true)
 
 	k0, k0b, k1, k1b := c.switchKey(r1, &gk.SwitchKey, level)
 	c.addInto(k0, k0, r0, comps)

@@ -15,6 +15,11 @@ import "fmt"
 // offset (p*qCount+q)*N — is just the special case built by
 // ContiguousView.
 //
+// A row marked with SkipRow already holds its transform result: the
+// functional kernel bodies leave it untouched (it may even stay nil),
+// while the kernel plan and its analytic profiles still count it, so a
+// skip saves host time and never changes simulated time.
+//
 // A view is immutable once handed to the engine; the engine reads and
 // writes the row contents but never the row table. Rows must be
 // pairwise non-overlapping: two rows aliasing the same memory would
@@ -24,7 +29,8 @@ type BatchView struct {
 	n      int
 	polys  int
 	qCount int
-	rows   [][]uint64 // indexed p*qCount+q; nil rows only in analytic views
+	rows   [][]uint64 // indexed p*qCount+q; nil rows only in analytic views or skipped
+	skip   []bool     // same indexing; nil until the first SkipRow
 }
 
 // NewBatchView allocates an empty view of polys × qCount rows of
@@ -62,6 +68,21 @@ func (v *BatchView) SetRow(p, q int, row []uint64) {
 	v.rows[p*v.qCount+q] = row[:v.n]
 }
 
+// SkipRow marks row (p, q) as already holding its transform result:
+// functional launches leave it untouched, analytic pricing still counts
+// it.
+func (v *BatchView) SkipRow(p, q int) {
+	if v.skip == nil {
+		v.skip = make([]bool, len(v.rows))
+	}
+	v.skip[p*v.qCount+q] = true
+}
+
+// skipped reports whether row (p, q) is marked by SkipRow.
+func (v *BatchView) skipped(p, q int) bool {
+	return v.skip != nil && v.skip[p*v.qCount+q]
+}
+
 // SetPoly installs all qCount rows of transform p from a polynomial's
 // per-component slices (rows[q] is the component under tables index q).
 func (v *BatchView) SetPoly(p int, rows [][]uint64) {
@@ -92,7 +113,8 @@ func sliceOf(data []uint64, p, q, qCount, n int) []uint64 {
 }
 
 // check validates that every row a functional launch will touch is
-// installed; analytic launches never read rows and skip it.
+// installed (skipped rows are never touched); analytic launches never
+// read rows and skip it.
 func (v *BatchView) check(tbls []*Tables) {
 	if len(tbls) != v.qCount {
 		panic(fmt.Sprintf("ntt: view has %d tables columns but %d tables given", v.qCount, len(tbls)))
@@ -101,7 +123,7 @@ func (v *BatchView) check(tbls []*Tables) {
 		panic(fmt.Sprintf("ntt: view is %d-point but tables are %d-point", v.n, tbls[0].N))
 	}
 	for i, r := range v.rows {
-		if r == nil {
+		if r == nil && (v.skip == nil || !v.skip[i]) {
 			panic(fmt.Sprintf("ntt: batch row (%d,%d) not set", i/v.qCount, i%v.qCount))
 		}
 	}

@@ -1,7 +1,10 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"xehe/internal/gpu"
@@ -124,4 +127,96 @@ func TestBatchViewChecks(t *testing.T) {
 		v.SetRow(0, 0, make([]uint64, n))
 		e.ForwardView(q, v, tbls) // 2 tables vs 1 column
 	})
+}
+
+// TestBatchViewSkipRow pins the row-skip contract for every variant,
+// forward and inverse: a skipped row is never touched (it may even be
+// nil), every other row equals the serial reference, the kernel plan
+// and its analytic profiles ignore the skips, and a nil row that is not
+// skipped still panics.
+func TestBatchViewSkipRow(t *testing.T) {
+	// 8192 points: the SLM variants run a global round as well.
+	const n, polys, qCount = 1 << 13, 2, 3
+	const sentinel = ^uint64(0)
+	for _, v := range AllVariants() {
+		for _, forward := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/forward=%v", v, forward), func(t *testing.T) {
+				tbls, _, full := viewFixture(t, n, polys, qCount, int64(200+v))
+				view := NewBatchView(polys, qCount, n)
+				want := make([][]uint64, polys*qCount)
+				for p := 0; p < polys; p++ {
+					for q := 0; q < qCount; q++ {
+						row := append([]uint64(nil), full.Row(p, q)...)
+						want[p*qCount+q] = append([]uint64(nil), row...)
+						if forward {
+							Forward(want[p*qCount+q], tbls[q])
+						} else {
+							Inverse(want[p*qCount+q], tbls[q])
+						}
+						switch {
+						case p == 0 && q == 1: // skipped and nil
+						case p == 1 && q == 2: // skipped, holding a sentinel
+							for i := range row {
+								row[i] = sentinel
+							}
+							view.SetRow(p, q, row)
+						default:
+							view.SetRow(p, q, row)
+						}
+					}
+				}
+				view.SkipRow(0, 1)
+				view.SkipRow(1, 2)
+
+				e := NewEngine(v)
+				plain, skipped := e.BuildKernelsView(full, tbls, forward), e.BuildKernelsView(view, tbls, forward)
+				if len(plain) != len(skipped) {
+					t.Fatalf("%d kernels with skips, %d without", len(skipped), len(plain))
+				}
+				for i := range plain {
+					if plain[i].Name != skipped[i].Name || !reflect.DeepEqual(plain[i].Profile, skipped[i].Profile) {
+						t.Fatalf("kernel %d: %q %+v with skips, %q %+v without",
+							i, skipped[i].Name, skipped[i].Profile, plain[i].Name, plain[i].Profile)
+					}
+				}
+
+				q := queues1(gpu.NewDevice1())
+				if forward {
+					e.ForwardView(q, view, tbls)
+				} else {
+					e.InverseView(q, view, tbls)
+				}
+				if view.Row(0, 1) != nil {
+					t.Fatalf("skipped nil row (0,1) was installed")
+				}
+				for i, x := range view.Row(1, 2) {
+					if x != sentinel {
+						t.Fatalf("skipped row (1,2)[%d] = %d, want the sentinel untouched", i, x)
+					}
+				}
+				for p := 0; p < polys; p++ {
+					for qi := 0; qi < qCount; qi++ {
+						if view.skipped(p, qi) {
+							continue
+						}
+						if !reflect.DeepEqual(view.Row(p, qi), want[p*qCount+qi]) {
+							t.Fatalf("row (%d,%d) differs from the serial reference", p, qi)
+						}
+					}
+				}
+
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not set") {
+							t.Fatalf("unskipped nil row: recovered %v, want a \"not set\" panic", r)
+						}
+					}()
+					bad := NewBatchView(1, 2, n)
+					bad.SetRow(0, 0, make([]uint64, n))
+					bad.SkipRow(0, 0)
+					e.BuildKernelsView(bad, tbls[:2], forward) // row (0,1) nil, not skipped
+				}()
+			})
+		}
+	}
 }

@@ -208,6 +208,9 @@ func (e *Engine) globalRoundKernel(view *BatchView, tbls []*Tables, w, stage int
 	isLast := !forward && stage-w == 0
 
 	body := func(g *gpu.GroupCtx) {
+		if view.skipped(g.P, g.Q) {
+			return
+		}
 		row := view.Row(g.P, g.Q)
 		tbl := tbls[g.Q]
 		if forward {
@@ -257,6 +260,9 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 	startStage := stage
 
 	body := func(g *gpu.GroupCtx) {
+		if view.skipped(g.P, g.Q) {
+			return
+		}
 		tbl := tbls[g.Q]
 		slice := view.Row(g.P, g.Q)
 		g0 := g.Group * groupElems
@@ -377,6 +383,9 @@ func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sy
 
 	mkStage := func(stage int) *sycl.Kernel {
 		body := func(g *gpu.GroupCtx) {
+			if view.skipped(g.P, g.Q) {
+				return
+			}
 			row := view.Row(g.P, g.Q)
 			tbl := tbls[g.Q]
 			if forward {
@@ -415,6 +424,9 @@ func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sy
 	// Last round processing as its own kernel (not fused in the naive
 	// implementation — the 2N extra accesses of Section III-B.1).
 	final := func(g *gpu.GroupCtx) {
+		if view.skipped(g.P, g.Q) {
+			return
+		}
 		row := view.Row(g.P, g.Q)
 		if forward {
 			finalizeForward(row, tbls[g.Q].Modulus.Value)
