@@ -28,8 +28,7 @@ func main() {
 	kit := xehe.GenerateKeys(params, 5, rotations...)
 
 	cl := xehe.NewCluster(params, kit,
-		[]xehe.DeviceKind{xehe.Device1, xehe.Device2},
-		xehe.ClusterConfig{FuseTransfers: xehe.ToggleOn})
+		[]xehe.DeviceKind{xehe.Device1, xehe.Device2}, xehe.ClusterConfig{})
 	defer cl.Close()
 
 	// Two private vectors, padded into the slot vector.

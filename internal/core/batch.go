@@ -483,14 +483,15 @@ func (c *Context) ModSwitchBatch(cts []*Ciphertext) []*Ciphertext {
 }
 
 // RotateBatch rotates every ciphertext's message slots by rot with one
-// fused automorphism + key-switch per batch.
+// fused automorphism + key-switch per batch. gk must have been
+// generated for rotation rot (it panics otherwise).
 func (c *Context) RotateBatch(cts []*Ciphertext, rot int, gk *ckks.GaloisKey) []*Ciphertext {
 	k := len(cts)
 	params := c.Params
 	level := cts[0].CT.Level
 	comps := level + 1
 	tbls := params.TablesAt(level)
-	galois := params.GaloisElement(rot)
+	galois := galoisFor(params, rot, gk)
 
 	// Automorphism in NTT form, priced as the coefficient-form route
 	// (see Rotate).

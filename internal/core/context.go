@@ -42,7 +42,7 @@ type Config struct {
 	// per-tile copy queue when the device models one
 	// (gpu.DeviceSpec.CopyEngine), so uploads and downloads overlap
 	// with compute instead of serializing on the kernel queue. The
-	// concurrent scheduler enables it for its FuseTransfers pipeline;
+	// concurrent scheduler always enables it for its worker contexts;
 	// results are bit-identical either way, only simulated timing
 	// changes.
 	CopyEngine bool

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
@@ -544,13 +546,25 @@ func (c *Context) ModSwitch(ct *Ciphertext) *Ciphertext {
 	return wrap(out, bufs)
 }
 
-// Rotate rotates message slots by k using the Galois key.
+// galoisFor returns the Galois element of a rotation by k, panicking
+// when gk was generated for another element: the key switch would
+// otherwise run and the result decrypt to garbage.
+func galoisFor(params *ckks.Parameters, k int, gk *ckks.GaloisKey) uint64 {
+	galois := params.GaloisElement(k)
+	if gk.Galois != galois {
+		panic(fmt.Sprintf("core: rotation by %d needs Galois element %d, key is for Galois element %d", k, galois, gk.Galois))
+	}
+	return galois
+}
+
+// Rotate rotates message slots by k using the Galois key, which must
+// have been generated for rotation k (it panics otherwise).
 func (c *Context) Rotate(ct *Ciphertext, k int, gk *ckks.GaloisKey) *Ciphertext {
 	params := c.Params
 	level := ct.CT.Level
 	comps := level + 1
 	tbls := params.TablesAt(level)
-	galois := params.GaloisElement(k)
+	galois := galoisFor(params, k, gk)
 
 	// Automorphism in NTT form: a row permutation of the input. The
 	// coefficient-form route's iNTT of the inputs and fNTT of the

@@ -88,15 +88,11 @@ func TestDifferentialRandomJobs(t *testing.T) {
 
 // TestDifferentialDevice2 repeats a smaller differential run on the
 // single-tile Device2: multiple workers then share one tile, which
-// stresses a different queue/tile mapping. FuseKernels is pinned off
-// here so the job-at-a-time baseline keeps differential coverage now
-// that fusion is the default.
+// stresses a different queue/tile mapping.
 func TestDifferentialDevice2(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(99))
-	cfg := schedConfig(3)
-	cfg.FuseKernels = ToggleOff
-	s := New(h.Params, gpu.NewDevice2(), cfg, h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice2(), schedConfig(3), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	const nJobs = 8

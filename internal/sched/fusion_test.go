@@ -11,15 +11,6 @@ import (
 	"xehe/internal/gpu"
 )
 
-// fusedConfig mirrors schedConfig with cross-job kernel fusion
-// explicitly on (the default since the soak flip; pinned here so the
-// fusion tests keep their meaning if the default ever moves again).
-func fusedConfig(workers int) Config {
-	cfg := schedConfig(workers)
-	cfg.FuseKernels = ToggleOn
-	return cfg
-}
-
 // familyJob builds one member of a same-shape job family: a fixed op
 // chain over fresh random inputs, so coalesced siblings carry distinct
 // data and any cross-job row mix-up in the fused kernels shows up as a
@@ -52,7 +43,7 @@ var fusionFamilies = []func(j *Job){
 
 // TestFusedDifferentialFamilies is the fused counterpart of the core
 // differential harness: families of same-shape jobs with distinct
-// random inputs run through a FuseKernels scheduler and must match the
+// random inputs run through a scheduler and must match the
 // serial core.Context path bit-for-bit. One worker plus a burst of
 // submissions guarantees backlog, so the dispatcher actually coalesces
 // and the workers actually fuse (asserted via the launch counters).
@@ -66,7 +57,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	futs := make([]*Future, len(jobs))
@@ -94,7 +85,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, len(jobs))
 	}
 	// A single worker against a full burst must have coalesced — and
-	// with FuseKernels on, coalesced batches must run fused.
+	// coalesced batches must run fused.
 	if st.Coalesced == 0 || st.FusedBatches == 0 || st.FusedSteps == 0 {
 		t.Fatalf("no fusion observed: coalesced=%d fusedBatches=%d fusedSteps=%d",
 			st.Coalesced, st.FusedBatches, st.FusedSteps)
@@ -102,11 +93,11 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 }
 
 // TestFusedDifferentialRandomQoSMix replays the randomized QoS
-// differential with fusion on: replicas of random chains under random
-// classes and deadlines, submitted from racing goroutines, must stay
-// bit-identical to the serial path. Replicated cases share a shape
-// key, so fused and unfused batches interleave with singleton
-// dispatches under every policy decision.
+// differential: replicas of random chains under random classes and
+// deadlines, submitted from racing goroutines, must stay bit-identical
+// to the serial path. Replicated cases share a shape key, so fused
+// batches interleave with singleton dispatches under every policy
+// decision.
 func TestFusedDifferentialRandomQoSMix(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(987))
@@ -123,7 +114,7 @@ func TestFusedDifferentialRandomQoSMix(t *testing.T) {
 			subs = append(subs, sub{c: c})
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(3), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(3), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -178,7 +169,7 @@ func TestClusterFusedDifferential(t *testing.T) {
 		}
 	}
 	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
-		fusedConfig(2), h.RelinKey(), h.GaloisKeys())
+		schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	futs := make([]*Future, len(jobs))
@@ -222,9 +213,9 @@ func TestClusterFusedDifferential(t *testing.T) {
 
 // TestFusedBatchOfOneMatchesUnfused pins the degenerate fusion input:
 // the fused executor over a batch of one job must produce exactly what
-// the unfused evalChain produces — same ciphertext bits, same value
-// list length — for every op family. (The scheduler routes singleton
-// batches down the unfused path; this guards the executor itself.)
+// the serial oracle (Harness.RunSerial) produces — same ciphertext
+// bits — for every op family. The workers run singleton batches
+// through this executor.
 func TestFusedBatchOfOneMatchesUnfused(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(55))
@@ -296,7 +287,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 		}
 		jobs = append(jobs, top, low) // interleaved levels
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	futs := make([]*Future, len(jobs))
 	for i, j := range jobs {
@@ -329,7 +320,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 func TestFusedMemcacheRecycling(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(616))
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(2), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	const waves, perWave = 4, 10
 	for w := 0; w < waves; w++ {
@@ -378,7 +369,7 @@ func TestPerClassCoalescingStats(t *testing.T) {
 		for i := range ins {
 			ins[i] = h.Encrypt(vals)
 		}
-		s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+		s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 		for i := 0; i < bulk; i++ {
 			j := NewJob(ins[i])
 			j.SquareRelinRescale(0) // Batch class (default)
@@ -419,7 +410,7 @@ func TestPerClassCoalescingStats(t *testing.T) {
 // TestFusedFallbackIsolatesFailure forces a runtime failure inside a
 // fused batch (a structurally valid rotation whose Galois key is
 // broken): the fused path cannot attribute the panic to one job, so
-// the worker must fall back to job-at-a-time execution, fail every
+// the worker must re-run each job as its own batch of one, fail every
 // broken job with a descriptive error, and complete healthy batches —
 // without wedging Drain/Close. The fallback steps are accounted as
 // unfused.
@@ -430,7 +421,7 @@ func TestFusedFallbackIsolatesFailure(t *testing.T) {
 		gks[k] = v
 	}
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), gks)
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), gks)
 	defer s.Close()
 
 	vals := make([]complex128, h.Params.Slots())
@@ -488,5 +479,71 @@ func TestFusedFallbackIsolatesFailure(t *testing.T) {
 	}
 	if st.Coalesced > 0 && st.UnfusedSteps == 0 {
 		t.Fatal("coalesced broken batches must account fallback steps as unfused")
+	}
+}
+
+// TestFallbackIsolatesBrokenJobInBatch drives the broken-batch fallback
+// directly: in a batch of three same-shape graph consumers, one lost its
+// dependency value, which breaks the gathered upload. Every job must
+// then re-run as its own batch of one — the healthy two bit-identical
+// to the serial reference, the broken one failing alone with a
+// descriptive error. (Same-shape jobs that fail differently cannot be
+// built through Submit, whose validation rejects malformed inputs, so
+// the test hands the batch to a worker itself.)
+func TestFallbackIsolatesBrokenJobInBatch(t *testing.T) {
+	h := sharedHarness(t)
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
+	defer s.Close()
+	// A private context on the scheduler's backend: the scheduler's own
+	// worker goroutine never touches it.
+	w := &worker{ctx: s.Backend().WorkerContext(h.Params, s.cfg.Core, 1, false)}
+	rng := rand.New(rand.NewSource(31))
+	encrypt := func() *ckks.Ciphertext {
+		v := make([]complex128, h.Params.Slots())
+		for i := range v {
+			v[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+		}
+		return h.Encrypt(v)
+	}
+	const broken = 1
+	batch := make([]*task, 3)
+	deps := make([]*ckks.Ciphertext, len(batch))
+	for i := range batch {
+		deps[i] = encrypt()
+		job := &Job{
+			Inputs: []*ckks.Ciphertext{encrypt()},
+			Deps:   []*Future{newFuture()},
+			Ops:    []Op{{Code: OpMulRelinRescale, A: 0, B: 1}},
+		}
+		d := depRes{fut: job.Deps[0], host: deps[i]}
+		if i == broken {
+			d.host = nil
+		}
+		batch[i] = &task{job: job, fut: newFuture(), deps: []depRes{d}}
+	}
+
+	out, fused := w.stageUploaded(s, w.uploadBatch(s, batch))
+	if fused {
+		t.Fatal("a broken batch reported a fused run")
+	}
+	for i, sj := range out {
+		if i == broken {
+			if sj.err == nil || !strings.Contains(sj.err.Error(), "dependency input 0 lost its value") {
+				t.Fatalf("broken job error = %v, want the lost dependency named", sj.err)
+			}
+			continue
+		}
+		if sj.err != nil {
+			t.Fatalf("healthy job %d failed: %v", i, sj.err)
+		}
+		got := w.ctx.Download(sj.result())
+		w.freeAll(sj)
+		want, err := h.RunSerialWith(batch[i].job, deps[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SameCiphertext(got, want); err != nil {
+			t.Fatalf("healthy job %d: mismatch after fallback: %v", i, err)
+		}
 	}
 }

@@ -323,7 +323,7 @@ func (s *Scheduler) rehomeDeps(t *task) {
 		f.releaseRefLocked()
 		f.mu.Unlock()
 		if err != nil {
-			// Value lost (e.g. download panic); the worker's stageIns
+			// Value lost (e.g. download panic); the worker's uploadBatch
 			// reports it as the job error.
 			t.deps[i] = depRes{fut: f}
 			continue
@@ -352,7 +352,8 @@ func (t *task) hostInputs() []*ckks.Ciphertext {
 // spliceIns rebuilds the task's device value-list prefix from the
 // gathered-upload results (devs, in hostInputs order), splicing
 // borrowed aliases of device-resident dependencies into their value
-// slots and collecting their producer events into evs.
+// slots and collecting their producer events into evs. It panics on a
+// dependency whose value was lost during migration.
 func (t *task) spliceIns(devs []*core.Ciphertext, evs *[]gpu.Event) []*core.Ciphertext {
 	if len(t.deps) == 0 {
 		return devs
@@ -360,17 +361,16 @@ func (t *task) spliceIns(devs []*core.Ciphertext, evs *[]gpu.Event) []*core.Ciph
 	ins := make([]*core.Ciphertext, 0, len(t.job.Inputs)+len(t.deps))
 	ins = append(ins, devs[:len(t.job.Inputs)]...)
 	rest := devs[len(t.job.Inputs):]
-	for _, d := range t.deps {
+	for i, d := range t.deps {
 		if d.res != nil {
 			*evs = append(*evs, d.res.evs...)
 			ins = append(ins, core.Borrow(d.res.ct))
 			continue
 		}
 		if d.host == nil {
-			// Value lost during migration: keep the slot nil; the chain
-			// will fail on it with a clear panic-wrapped error.
-			ins = append(ins, nil)
-			continue
+			// Value lost during migration (e.g. a download panic):
+			// uploadBatch's recover turns this into the job error.
+			panic(fmt.Sprintf("dependency input %d lost its value during migration", i))
 		}
 		ins = append(ins, rest[0])
 		rest = rest[1:]

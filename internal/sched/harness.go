@@ -243,18 +243,7 @@ func applyModel(p *ckks.Parameters, vals []genValue, op Op, slots int) genValue 
 // the existing single-stream core.Context path — and returns the
 // result ciphertext.
 func (h *Harness) RunSerial(job *Job) (*ckks.Ciphertext, error) {
-	vals, err := evalChain(h.serial, h.rlk, h.gks, job)
-	defer func() {
-		for _, v := range vals {
-			if v != nil {
-				h.serial.Free(v)
-			}
-		}
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return h.serial.Download(vals[len(vals)-1]), nil
+	return h.RunSerialWith(job, nil)
 }
 
 // RunSerialWith executes a job whose dependency slots are filled from
@@ -271,7 +260,7 @@ func (h *Harness) RunSerialWith(job *Job, deps []*ckks.Ciphertext) (*ckks.Cipher
 	for _, d := range deps {
 		ins = append(ins, h.serial.Upload(d))
 	}
-	vals, err := evalChainOn(h.serial, h.rlk, h.gks, job, ins, nil)
+	vals, err := evalChainOn(h.serial, h.rlk, h.gks, job, ins)
 	defer func() {
 		for _, v := range vals {
 			if v != nil {
@@ -283,6 +272,48 @@ func (h *Harness) RunSerialWith(job *Job, deps []*ckks.Ciphertext) (*ckks.Cipher
 		return nil, err
 	}
 	return h.serial.Download(vals[len(vals)-1]), nil
+}
+
+// evalChainOn is the serial oracle's chain walker: it submits a job's
+// whole op chain job-at-a-time through the serial core.Context routines
+// over already device-resident inputs, so the differential tests
+// compare the workers' fused *Batch executor against an independent
+// code path. The value list starts as the inputs and every value stays
+// allocated until the caller frees it: later ops of a DAG-shaped job
+// may reference any earlier value. On panic the partial value list
+// (inputs included) is returned with the error.
+func evalChainOn(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, job *Job, ins []*core.Ciphertext) (vals []*core.Ciphertext, err error) {
+	vals = ins
+	stage := 0
+	defer func() {
+		if r := recover(); r != nil {
+			err = wrapPanic(fmt.Sprintf("job op %d (%v)", stage, job.Ops[stage].Code), r)
+		}
+	}()
+	for i, op := range job.Ops {
+		stage = i
+		var r *core.Ciphertext
+		switch op.Code {
+		case OpAdd:
+			r = c.Add(vals[op.A], vals[op.B])
+		case OpMulRelin:
+			r = c.MulLin(vals[op.A], vals[op.B], rlk)
+		case OpMulRelinRescale:
+			r = c.MulLinRS(vals[op.A], vals[op.B], rlk)
+		case OpSquareRelinRescale:
+			r = c.SqrLinRS(vals[op.A], rlk)
+		case OpRotate:
+			gk, ok := gks[op.K]
+			if !ok {
+				panic(fmt.Sprintf("no Galois key for rotation %d", op.K))
+			}
+			r = c.RotateRoutine(vals[op.A], op.K, gk)
+		case OpModSwitch:
+			r = c.ModSwitch(vals[op.A])
+		}
+		vals = append(vals, r)
+	}
+	return vals, nil
 }
 
 // GraphNode is one job of a randomized DAG: DepNodes lists the earlier

@@ -26,21 +26,19 @@
 //     backlog instead of waiting behind it.
 //   - The dispatcher coalesces jobs of identical shape (same input
 //     levels and op chain, hence identical kernel launch sequences)
-//     from the chosen class's queue into batches. A batch stages
-//     every job's uploads and kernel chain back-to-back without host
-//     synchronization and only then downloads the results: the
-//     asynchronous window of Fig. 2 widens from one job to the whole
-//     batch, so the host stalls only in the download phase at the
-//     batch tail (each download still pays its own sync there)
-//     instead of blocking between jobs.
-//   - With Config.FuseKernels, coalesced batches additionally fuse
-//     their kernel launches: the worker walks the batch's shared op
-//     chain step-at-a-time and issues each step as one widened launch
-//     over every job's polynomials (an ntt.BatchView per NTT
-//     sequence, one jobs × components × N elementwise kernel
-//     otherwise), so launch and submission overhead is paid once per
-//     step per batch instead of once per job. Results are bit-for-bit
-//     identical either way; Stats counts fused vs unfused steps and
+//     from the chosen class's queue into batches. Every batch —
+//     singletons included — runs through one fused executor: the
+//     worker walks the batch's shared op chain step-at-a-time and
+//     issues each step as one widened launch over every job's
+//     polynomials (an ntt.BatchView per NTT sequence, one jobs ×
+//     components × N elementwise kernel otherwise), so launch and
+//     submission overhead is paid once per step per batch instead of
+//     once per job. A batch's inputs upload in one gathered H2D and
+//     its results download in one scattered D2H on the tile's copy
+//     engine, and the worker double-buffers one batch deep, so
+//     transfers overlap with compute and the host synchronizes once
+//     per batch. Results are bit-for-bit identical to the serial
+//     core.Context path; Stats counts fused vs unfused steps and
 //     per-class coalescing effectiveness.
 //   - Queues are bounded per class (admission control): a class with
 //     a full queue share blocks Submit (backpressure), while a class

@@ -108,8 +108,8 @@ func (s *Scheduler) recordSpan(ring *obs.Ring, sp obs.Span) {
 // className interns the class's name for span attribution.
 func (s *Scheduler) className(class int) string { return s.classes[class].Name }
 
-// stepTrace threads per-op-chain-step span recording into the chain
-// executors (evalChainOn, evalChainFusedOn). A nil *stepTrace is the
+// stepTrace threads per-op-chain-step span recording into the worker's
+// chain executor (evalChainFusedOn). A nil *stepTrace is the
 // tracing-off fast path: both methods no-op.
 type stepTrace struct {
 	s     *Scheduler
@@ -132,10 +132,6 @@ func (tr *stepTrace) end(st spanStart, name string, jobs int) {
 	}
 	tr.s.spanEnd(tr.ring, st, tr.track, name, catStep, "", 0, jobs)
 }
-
-// stepTracer returns the worker's step-trace handle (nil when tracing
-// is off).
-func (w *worker) stepTracer() *stepTrace { return w.tr }
 
 // schedMetrics is the scheduler's typed instrument set. The counters
 // mirror the legacy Stats fields at the same accounting sites; the

@@ -395,3 +395,89 @@ func TestServiceBackendOverride(t *testing.T) {
 		t.Fatalf("optimized backend (%v s) must beat naive (%v s); naive override was ignored", opt, naive)
 	}
 }
+
+// TestClusterElasticFacade drives the public Cluster wrappers for
+// elastic scale-up and graceful retirement: AddShard returns the new
+// shard's index and grows Shards, DrainShard retires a shard under the
+// fault plane's health view, Metrics merges the cluster's routing
+// counters with the shards' job counters, and ResetSimClocks zeroes the
+// simulated timeline. Jobs submitted before, between and after the
+// add and the drain must decrypt bit-identically to GPUEvaluator.
+func TestClusterElasticFacade(t *testing.T) {
+	params, kit := fixture(t)
+	a := randVec(params.Slots(), 30)
+	b := randVec(params.Slots(), 31)
+	cta, ctb := kit.Encrypt(a), kit.Encrypt(b)
+	he := NewGPUEvaluator(params, kit, Device1, ConfigOptimized())
+	want := he.Rotate(he.MulRelinRescale(cta, ctb), 1)
+
+	cl := NewCluster(params, kit, []DeviceKind{Device1}, ClusterConfig{WarmBuffers: 8})
+	defer cl.Close()
+	var futs []*Pending
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			j := NewJob(cta, ctb)
+			r := j.MulRelinRescale(0, 1)
+			j.Rotate(r, 1)
+			fut, err := cl.Submit(j)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			futs = append(futs, fut)
+		}
+	}
+
+	submit(4)
+	idx, err := cl.AddShard(Device1, NodeSpec{Node: 1})
+	if err != nil {
+		t.Fatalf("AddShard: %v", err)
+	}
+	if idx != 1 || cl.Shards() != 2 {
+		t.Fatalf("AddShard = index %d with %d shards, want index 1 of 2", idx, cl.Shards())
+	}
+	if h := cl.Faults().Health(idx); h != "ok" {
+		t.Fatalf("added shard health = %q, want ok", h)
+	}
+	submit(4)
+	cl.DrainShard(0)
+	if h := cl.Faults().Health(0); h != "closed" {
+		t.Fatalf("drained shard health = %q, want closed", h)
+	}
+	submit(4)
+	cl.Wait()
+
+	for i, fut := range futs {
+		got, err := fut.Wait()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if got.Level != want.Level || got.Scale != want.Scale || len(got.Value) != len(want.Value) {
+			t.Fatalf("job %d: level/scale/degree differ from GPUEvaluator", i)
+		}
+		for c := range want.Value {
+			if !got.Value[c].Equal(want.Value[c]) {
+				t.Fatalf("job %d: component %d differs from GPUEvaluator", i, c)
+			}
+		}
+	}
+
+	st := cl.Stats()
+	if st.Jobs != int64(len(futs)) || st.Failed != 0 || st.Added != 1 {
+		t.Fatalf("stats = %d jobs / %d failed / %d added, want %d/0/1", st.Jobs, st.Failed, st.Added, len(futs))
+	}
+	m := cl.Metrics()
+	if added, ok := m.Get("cluster.added_shards"); !ok || added.Value != 1 {
+		t.Fatalf("cluster.added_shards = %v (present %v), want 1", added.Value, ok)
+	}
+	if done, ok := m.Get("sched.jobs_completed"); !ok || int64(done.Value) != st.Jobs {
+		t.Fatalf("sched.jobs_completed = %v (present %v), want %d", done.Value, ok, st.Jobs)
+	}
+
+	if cl.SimulatedSeconds() <= 0 {
+		t.Fatal("no simulated time accumulated")
+	}
+	cl.ResetSimClocks()
+	if s := cl.SimulatedSeconds(); s != 0 {
+		t.Fatalf("SimulatedSeconds after ResetSimClocks = %g, want 0", s)
+	}
+}
